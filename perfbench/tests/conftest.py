@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the program importable in its tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+BENCH = HERE.parent
+REPO = BENCH.parent
+
+for path in (REPO / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
